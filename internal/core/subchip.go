@@ -59,10 +59,13 @@ type Options struct {
 // pendingInject records a fault-injection pass deferred on a
 // not-yet-materialised crossbar: the fault map was already counted against
 // the live RNG, and rng is a clone snapshotted before the count so
-// materialisation replays the identical faults. Under the counter-based v3
-// regime the snapshot is the slot's own keyed substream at block 0 rather
-// than a point on the shared serial stream — replay is then independent of
-// the order in which other slots were counted or materialised.
+// materialisation replays the identical faults. Under v1/v2 the snapshot
+// is a point on the shared serial stream, and the count consumed exactly
+// the draws the replay will make. Under the counter-based v3 regime the
+// snapshot is the slot's own keyed substream at block 0, and the count
+// drew only the fault map (k, SA0) the replay starts with; the replay then
+// places the faults from the same substream. Replay is independent of the
+// order in which other slots were counted or materialised.
 type pendingInject struct {
 	rate float64
 	rng  *stats.RNG
@@ -232,16 +235,22 @@ func (s *SubChip) ApplyIRDrop(alpha float64) {
 // programming, and MapDense reads the array back so its per-layer scale
 // covers the faulted conductances. Requires a noise RNG.
 //
-// Crossbars not yet materialised only have their faults counted here — the
-// identical random sequence is consumed either way — and the physical
-// injection is replayed from an RNG snapshot if the crossbar is touched
-// later, so the returned fault map and all downstream results match an
-// eager injection exactly. The count/replay contract holds under every
-// sampling regime: the RNG snapshot carries its regime, and
-// reram.CountStuckFaults consumes exactly the stream InjectStuckFaults
-// replays — O(cells) per crossbar under v1, one binomial count draw plus
-// O(faults) position/polarity draws under v2/v3 (the sublinear
-// defect-sweep hot path).
+// Crossbars not yet materialised only have their faults counted here, and
+// the physical injection is replayed from an RNG snapshot if the crossbar
+// is touched later, so the returned fault map and all downstream results
+// match an eager injection exactly. The count/replay contract holds under
+// every sampling regime (the RNG snapshot carries its regime), but what the
+// count costs differs:
+//
+//   - v1/v2: reram.CountStuckFaults consumes exactly the stream
+//     InjectStuckFaults replays — O(cells) per crossbar under v1, one
+//     binomial count plus O(faults) position/polarity draws under v2 —
+//     because the next slot continues on the same serial stream.
+//   - v3: the count draws only the fault map, k = Binomial(cells, rate)
+//     and SA0 = Binomial(k, ½) — O(1) per crossbar. The injection draws
+//     the same pair first and then places the faults, so Count == Inject
+//     by construction, and no position is drawn for a crossbar that is
+//     never computed on (a layer touches a few of the grid's slots).
 //
 // The regimes differ in where the draws come from. Under v1/v2 every slot
 // consumes the shared serial noise stream in slot order, so the snapshot is

@@ -67,9 +67,10 @@ type DefectPoint struct {
 // defect-aware retraining or remapping is applied, so this is the
 // unprotected floor the rescue literature improves on). The fault maps
 // draw under the given sampling regime: v1 spends one deviate per cell of
-// the 16×12 crossbar grid (~12.6M per draw), v2/v3 one binomial count per
-// crossbar plus O(faults) position draws — the sublinear hot path the
-// sweep's wall-clock floor collapsed onto. Under v3 each draw's generator
+// the 16×12 crossbar grid (~12.6M per draw), v2 one binomial count per
+// crossbar plus O(faults) position draws, and v3 two binomial draws per
+// crossbar plus positions only on the crossbars the CNN computes on
+// (see reram.CountStuckFaults). Under v3 each draw's generator
 // is keyed by its (seed, draw) coordinates and each crossbar by its grid
 // slot, so the sweep is byte-stable at any worker count by construction
 // rather than by careful stream ordering.

@@ -78,8 +78,8 @@ func AnalogMLPAccuracyBatch(ctx context.Context, seeds []uint64, trials int, eps
 	for m := range seeds {
 		tm := tms[m]
 		res := &AccuracyResult{
-			FloatAcc:       tm.m.Accuracy(tm.test),
-			IntAcc:         tm.q.AccuracyInt(tm.test),
+			FloatAcc:       tm.floatAcc,
+			IntAcc:         tm.intAcc,
 			CascadeErrorPS: analog.CascadeErrorBound(params.MaxCascadedXSubBufs, epsPS),
 			MarginPS:       params.TDelMargin,
 			Trials:         trials,

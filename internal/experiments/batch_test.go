@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -44,6 +45,46 @@ func TestBatchedAccuracyByteIdentity(t *testing.T) {
 						sampler, par, seed, batch[m], single)
 				}
 			}
+		}
+	}
+}
+
+// TestAnalogMLPAccuracyBatchConcurrent: concurrent batches on one seed
+// share the memoized classifier and must all return the identical result,
+// with the float accuracy the float model gives when evaluated alone. The
+// float model's forward pass writes per-instance scratch, so evaluating it
+// per call (rather than once, when the classifier is memoized) races;
+// under -race this test reports it, and without -race the corrupted
+// accuracy shows up as a mismatch.
+func TestAnalogMLPAccuracyBatchConcurrent(t *testing.T) {
+	const seed, callers = 2020, 8
+	ctx := context.Background()
+	results := make([][]*AccuracyResult, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[g], errs[g] = AnalogMLPAccuracyBatch(ctx, []uint64{seed}, 1, 200, stats.SamplerV3)
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", g, err)
+		}
+	}
+	tm, err := accuracyMLP(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tm.m.Accuracy(tm.test); results[0][0].FloatAcc != want {
+		t.Fatalf("float accuracy %v, want %v", results[0][0].FloatAcc, want)
+	}
+	for g := 1; g < callers; g++ {
+		if !reflect.DeepEqual(results[g], results[0]) {
+			t.Errorf("caller %d: %+v != caller 0: %+v", g, results[g][0], results[0][0])
 		}
 	}
 }

@@ -218,11 +218,17 @@ func evalIsaac(chips int, name string) (*accel.Result, error) {
 }
 
 // trainedMLP bundles the §VI-B synthetic classifier: the float model, its
-// 8-bit quantization, and the held-out test split.
+// 8-bit quantization, the held-out test split, and both reference
+// accuracies on that split. The accuracies are computed once, inside the
+// memoized constructor: workload.MLP's forward pass writes per-instance
+// scratch, so the shared float model must not be evaluated again by the
+// concurrent readers of the cache.
 type trainedMLP struct {
 	m    *workload.MLP
 	q    *workload.QuantMLP
 	test *workload.Dataset
+
+	floatAcc, intAcc float64
 }
 
 // accuracyMLP trains (once per seed) the noise-aware synthetic classifier
@@ -240,7 +246,8 @@ func accuracyMLP(seed uint64) (*trainedMLP, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &trainedMLP{m: m, q: q, test: test}, nil
+		return &trainedMLP{m: m, q: q, test: test,
+			floatAcc: m.Accuracy(test), intAcc: q.AccuracyInt(test)}, nil
 	})
 }
 

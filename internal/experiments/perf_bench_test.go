@@ -50,9 +50,10 @@ func BenchmarkAccuracyTrial(b *testing.B) {
 // drawn at mapping time, deterministic batched evaluation — at the
 // ablation's low-rate points under each sampling regime. The v1 regime
 // spends one deviate per cell of the 16×12 crossbar grid (~12.6M per
-// trial) regardless of rate; v2 and the counter-based v3 spend one
-// binomial draw per crossbar plus O(faults), collapsing the draw cost at
-// low rates (v3 additionally pays one Philox block per ~2 deviates
+// trial) regardless of rate; v2 spends one binomial draw per crossbar plus
+// O(faults), collapsing the draw cost at low rates; the counter-based v3
+// spends two binomial draws per crossbar and draws positions only on the
+// crossbars the CNN computes on (it pays one Philox block per ~2 deviates
 // instead of one splitmix round per deviate).
 func BenchmarkDefectTrial(b *testing.B) {
 	tc, err := defectCNN(5)

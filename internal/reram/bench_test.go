@@ -1,6 +1,7 @@
 package reram
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/stats"
@@ -89,4 +90,26 @@ func BenchmarkSubRangedDot(b *testing.B) {
 		sink += x.SubRangedDot(times, (i%(x.B/2))*2, 8, 50)
 	}
 	_ = sink
+}
+
+// BenchmarkCountStuckFaults measures the per-crossbar fault-accounting
+// cost on one 256×256 crossbar under each sampling regime, at a low, the
+// knee and the highest sweep rate: v1 is O(cells) whatever the rate, v2 is
+// O(faults) (it must replay the injection's position and polarity draws),
+// and v3 is O(1) — two binomial draws.
+func BenchmarkCountStuckFaults(b *testing.B) {
+	const n = 256 * 256
+	for _, rate := range []float64{0.001, 0.01, 0.3} {
+		for _, sampler := range []stats.SamplerVersion{stats.SamplerV1, stats.SamplerV2, stats.SamplerV3} {
+			b.Run(fmt.Sprintf("rate=%g/sampler=%s", rate, sampler), func(b *testing.B) {
+				rng := stats.NewRNGSampler(1, sampler)
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := CountStuckFaults(n, rate, rng); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

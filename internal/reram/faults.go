@@ -48,25 +48,37 @@ func (f FaultMap) Total() int { return f.SA0 + f.SA1 }
 // defect literature). Faulted cells override whatever was programmed and
 // ignore later Program calls. It returns the injected fault map.
 //
-// The draw algorithm follows the generator's sampling regime. Under the
-// legacy v1 regime the sequence is exactly one uniform deviate per cell
-// plus one more per faulted cell — O(cells) per injection. Under the
-// v2/v3 regimes the realised fault count comes from one exact
-// Binomial(cells, rate) draw and the positions from Floyd's sampling
-// without replacement — O(faults) per injection, the sublinear hot path of
-// the defect sweep. (v3 additionally keys the generator itself per
-// (seed, trial, grid slot) — see package core — so which crossbar a
-// generator belongs to is part of its identity, not its position in a
-// serial stream.) Either way CountStuckFaults consumes the identical
-// sequence, which lets callers defer the array mutation and replay it
-// later from a cloned generator.
+// The draw algorithm follows the generator's sampling regime:
+//
+//   - v1: one uniform deviate per cell plus one polarity deviate per
+//     faulted cell — O(cells) per injection.
+//   - v2: one exact Binomial(cells, rate) count draw, then Floyd's sampling
+//     for the positions with one polarity deviate interleaved after each
+//     position — O(faults) per injection.
+//   - v3: the fault map first — k = Binomial(cells, rate), then
+//     SA0 = Binomial(k, ½) — and only then the placement: Floyd over the
+//     cells picks the k positions, Floyd over those k picks which SA0 of
+//     them are stuck at 0. Conditional on k, i.i.d. fair polarities give
+//     exactly a Binomial(k, ½) SA0 count on a uniformly chosen subset, so
+//     the fault law is the v2 one; only the deviate order differs. (v3
+//     also keys the generator itself per (seed, trial, grid slot) — see
+//     package core — so which crossbar a generator belongs to is part of
+//     its identity, not its position in a serial stream.)
+//
+// Under v1/v2 CountStuckFaults consumes the identical sequence; under v3
+// it consumes the (k, SA0) prefix of it. Either way the count equals the
+// injected map, which lets callers defer the array mutation and replay it
+// later from a generator cloned before the count.
 func (x *Crossbar) InjectStuckFaults(rate float64, rng *stats.RNG) (FaultMap, error) {
 	if rate < 0 || rate > 1 {
 		return FaultMap{}, fmt.Errorf("reram: fault rate %v outside [0,1]", rate)
 	}
 	x.invalidate()
-	if rng.Sampler() != stats.SamplerV1 {
+	switch rng.Sampler() {
+	case stats.SamplerV2:
 		return x.injectStuckFaultsV2(rate, rng), nil
+	case stats.SamplerV3:
+		return x.injectStuckFaultsV3(rate, rng), nil
 	}
 	var fm FaultMap
 	// The fault slice is only allocated once the first fault lands, so
@@ -134,20 +146,65 @@ func (x *Crossbar) injectStuckFaultsV2(rate float64, rng *stats.RNG) FaultMap {
 	return fm
 }
 
-// CountStuckFaults draws the same random sequence InjectStuckFaults would
-// consume over n cells and returns the fault map it would realise, without
-// touching any array. Package core uses it to account faults on crossbars
-// that are never computed on, deferring the physical injection until a
-// crossbar is materialised (replayed from a generator clone snapshotted
-// before this call). Like the injection itself, the draw algorithm — and
-// therefore the cost, O(cells) under v1 vs O(faults) under v2 — follows
-// the generator's sampling regime (v2 and v3 share the sublinear path).
+// injectStuckFaultsV3 is the sampler-v3 injection: the fault map
+// (faultSplit) is drawn first, then Floyd's sampling places the k faults
+// over the cells, and a second Floyd pass over those k positions (indexed
+// in placement order) chooses the SA0 subset; the rest are SA1.
+func (x *Crossbar) injectStuckFaultsV3(rate float64, rng *stats.RNG) FaultMap {
+	fm := faultSplit(len(x.levels), rate, rng)
+	k := fm.Total()
+	if k == 0 {
+		return fm
+	}
+	if x.faults == nil {
+		x.faults = make([]int8, len(x.levels))
+	}
+	maxLevel := x.MaxLevel()
+	pos := make([]int, 0, k)
+	rng.SampleK(len(x.levels), k, func(p int) {
+		pos = append(pos, p)
+		x.faults[p] = faultSA1
+		x.levels[p] = maxLevel
+	})
+	rng.SampleK(k, fm.SA0, func(j int) {
+		x.faults[pos[j]] = faultSA0
+		x.levels[pos[j]] = 0
+	})
+	return fm
+}
+
+// faultSplit draws the v3 fault map of n cells at the given rate in O(1):
+// the fault count k = Binomial(n, rate), then SA0 = Binomial(k, ½).
+func faultSplit(n int, rate float64, rng *stats.RNG) FaultMap {
+	k := rng.Binomial(n, rate)
+	sa0 := rng.Binomial(k, 0.5)
+	return FaultMap{SA0: sa0, SA1: k - sa0}
+}
+
+// CountStuckFaults returns the fault map InjectStuckFaults would realise
+// over n cells from the same generator state, without touching any array.
+// Package core uses it to account faults on crossbars that are never
+// computed on, deferring the physical injection until a crossbar is
+// materialised (replayed from a generator clone snapshotted before this
+// call). The cost follows the generator's sampling regime:
+//
+//   - v1: the full O(cells) injection stream, position draws included.
+//   - v2: the full O(faults) injection stream — the binomial count plus
+//     every position and polarity draw — because v2 counts on the shared
+//     serial stream, and the next crossbar must continue from exactly
+//     where the injection would have left it.
+//   - v3: O(1) — only the two binomial draws of faultSplit, the prefix of
+//     the v3 injection stream. v3 generators are per-slot substreams that
+//     nothing reads after the count, so the position draws can be skipped.
 func CountStuckFaults(n int, rate float64, rng *stats.RNG) (FaultMap, error) {
 	if rate < 0 || rate > 1 {
 		return FaultMap{}, fmt.Errorf("reram: fault rate %v outside [0,1]", rate)
 	}
 	var fm FaultMap
-	if rng.Sampler() != stats.SamplerV1 {
+	switch rng.Sampler() {
+	case stats.SamplerV3:
+		return faultSplit(n, rate, rng), nil
+	case stats.SamplerV2:
 		// Identical consumption to injectStuckFaultsV2: the binomial count,
 		// k position draws (Floyd's consumes exactly one bounded deviate
 		// per selection regardless of collisions), and k polarity draws in

@@ -34,20 +34,7 @@ func TestInjectV2MatchesCount(t *testing.T) {
 			t.Fatalf("rate %v: count and inject consumed different deviate streams", rate)
 		}
 		// The realised cells must agree with the map.
-		var sa0, sa1 int
-		for r := 0; r < 128; r++ {
-			for c := 0; c < 128; c++ {
-				if !x.IsFaulty(r, c) {
-					continue
-				}
-				if x.Level(r, c) == 0 {
-					sa0++
-				} else {
-					sa1++
-				}
-			}
-		}
-		if sa0 != injected.SA0 || sa1 != injected.SA1 {
+		if sa0, sa1 := cellFaults(x); sa0 != injected.SA0 || sa1 != injected.SA1 {
 			t.Fatalf("rate %v: fault map %+v disagrees with cells (%d/%d)", rate, injected, sa0, sa1)
 		}
 	}
@@ -159,32 +146,5 @@ func TestFaultCountsV1VsV2KS(t *testing.T) {
 				t.Errorf("rate %v: %s SA0/SA1 chi-square %.2f exceeds 10.83", rate, s.name, x2)
 			}
 		}
-	}
-}
-
-// BenchmarkCountStuckFaults measures the per-crossbar fault-draw cost of
-// both regimes at a low and a moderate sweep rate: the v1 cost is
-// O(cells) and rate-independent, the v2 cost is O(faults).
-func BenchmarkCountStuckFaults(b *testing.B) {
-	const n = 65536
-	for _, bc := range []struct {
-		name string
-		rate float64
-		rng  func() *stats.RNG
-	}{
-		{"rate=0.001/sampler=v1", 0.001, func() *stats.RNG { return stats.NewRNG(1) }},
-		{"rate=0.001/sampler=v2", 0.001, func() *stats.RNG { return stats.NewRNGSampler(1, stats.SamplerV2) }},
-		{"rate=0.01/sampler=v1", 0.01, func() *stats.RNG { return stats.NewRNG(1) }},
-		{"rate=0.01/sampler=v2", 0.01, func() *stats.RNG { return stats.NewRNGSampler(1, stats.SamplerV2) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			rng := bc.rng()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := CountStuckFaults(n, bc.rate, rng); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -24,7 +24,9 @@ import (
 //     (seed, trial, grid slot) instead of split from one serial stream, so
 //     any trial — and any crossbar's fault draws within a trial — is
 //     computable independently with byte-stable results at any parallelism
-//     (see philox.go, NewTrialRNG, Substream).
+//     (see philox.go, NewTrialRNG, Substream). A crossbar's fault map is
+//     drawn before its positions — Binomial(n, rate) faults, then
+//     Binomial(k, ½) of them SA0 — so counting faults costs O(1).
 //
 // All regimes are statistically equivalent (the distributional tests in
 // this package and in internal/reram defend that); they differ only in

@@ -209,8 +209,12 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	// lo + (hi−lo)·frac is exact on equal neighbours, where the weighted
+	// form a·(1−f) + b·f can round one ulp past them and break
+	// monotonicity in p; the clamp keeps the result inside its bracket.
+	a, b := sorted[lo], sorted[hi]
+	v := a + (b-a)*(rank-float64(lo))
+	return math.Min(math.Max(v, a), b)
 }
 
 // PercentilesInto computes several percentiles of one sample with a single

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -129,6 +130,50 @@ func TestPercentile(t *testing.T) {
 	for _, c := range cases {
 		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+}
+
+// TestPercentileSortedTiesMonotone is a property test over random samples
+// drawn from a few repeated values (Monte-Carlo accuracies such as 118/120
+// tie often): the interpolated percentile must be nondecreasing in p,
+// exact wherever the two bracketing order statistics are equal, and never
+// outside its bracket. The fixed case is the regression that broke the
+// p10 ≤ p50 ≤ p90 summary of a 5-trial sweep.
+func TestPercentileSortedTiesMonotone(t *testing.T) {
+	tie := 118.0 / 120
+	for _, p := range []float64{10, 50, 90} {
+		if got := PercentileSorted([]float64{tie, tie}, p); got != tie {
+			t.Fatalf("PercentileSorted of two equal %v at p%v = %v", tie, p, got)
+		}
+	}
+	rng := NewRNG(11)
+	for trial := 0; trial < 2000; trial++ {
+		pool := make([]float64, 1+rng.Intn(4))
+		for i := range pool {
+			pool[i] = float64(rng.Intn(121)) / 120
+		}
+		xs := make([]float64, 1+rng.Intn(12))
+		for i := range xs {
+			xs[i] = pool[rng.Intn(len(pool))]
+		}
+		sort.Float64s(xs)
+		prev := math.Inf(-1)
+		for step := 0; step <= 400; step++ {
+			p := float64(step) / 4
+			got := PercentileSorted(xs, p)
+			if got < prev {
+				t.Fatalf("%v: p%v = %v < previous %v (not monotone)", xs, p, got, prev)
+			}
+			prev = got
+			rank := p / 100 * float64(len(xs)-1)
+			lo, hi := xs[int(math.Floor(rank))], xs[int(math.Ceil(rank))]
+			if got < lo || got > hi {
+				t.Fatalf("%v: p%v = %v outside bracket [%v, %v]", xs, p, got, lo, hi)
+			}
+			if lo == hi && got != lo {
+				t.Fatalf("%v: p%v = %v, want exactly the tied %v", xs, p, got, lo)
+			}
 		}
 	}
 }

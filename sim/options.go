@@ -230,7 +230,7 @@ func WithTraceSink(fn func(TraceSpan)) Option {
 // by name: "v3" (the default) keys a counter-based Philox generator by the
 // study's (seed, trial, grid slot) coordinates, so every trial's stream is
 // independently computable and results are byte-stable at any worker
-// count; "v2" draws realised fault maps with sublinear O(faults) binomial
+// count, and accounts each crossbar's faults in O(1); "v2" draws realised fault maps with sublinear O(faults) binomial
 // sampling and circuit noise through a Ziggurat Gaussian from serial
 // splitmix streams; "v1" reproduces the legacy per-cell Bernoulli /
 // Box-Muller deviate streams byte for byte (the regime the original
