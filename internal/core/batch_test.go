@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/analog"
@@ -205,4 +206,34 @@ func TestLazyCrossbarMaterialisation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRoundNonNegMatchesMathRound checks forwardBatchDet's truncate-and-fix
+// rounding against math.Round over the TDC input range: integers, every
+// k+0.5 tie up to 2^24−1 together with its nextafter neighbours, and the
+// largest double below 0.5, which floor(x+0.5) would round up. -short
+// (the race run) checks every 17th tie.
+func TestRoundNonNegMatchesMathRound(t *testing.T) {
+	check := func(x float64) {
+		if got, want := roundNonNeg(x), int(math.Round(x)); got != want {
+			t.Fatalf("roundNonNeg(%v) = %d, math.Round gives %d", x, got, want)
+		}
+	}
+	check(0)
+	check(0.49999999999999994)
+	check(math.Nextafter(0.5, 0))
+	check(0.5)
+	check(math.SmallestNonzeroFloat64)
+	step := 1
+	if testing.Short() {
+		step = 17
+	}
+	for k := 0; k < 1<<24-1; k += step {
+		x := float64(k) + 0.5
+		check(float64(k))
+		check(x)
+		check(math.Nextafter(x, 0))
+		check(math.Nextafter(x, math.Inf(1)))
+	}
+	check(1<<24 - 1)
 }

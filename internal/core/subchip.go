@@ -692,7 +692,7 @@ func (m *MappedLayer) forwardBatchDet(inputs []int, nvec int, out []int) error {
 						} else if t > full {
 							t = full
 						}
-						code := int(math.Round(t / cu.TDel))
+						code := roundNonNeg(t / cu.TDel)
 						if code < 0 {
 							code = 0
 						} else if code > maxCode {
@@ -732,6 +732,22 @@ func (m *MappedLayer) forwardBatchDet(inputs []int, nvec int, out []int) error {
 		}
 	}
 	return nil
+}
+
+// roundNonNeg rounds x ≥ 0 half away from zero, as math.Round does, by
+// truncating and fixing up. It is exact for x in [0, 2^52): truncation is
+// floor for x ≥ 0, and the fraction x − floor(x) is computed without
+// rounding (for x < 1 it is x itself; for x ≥ 1 both operands lie within
+// a factor of two, so Sterbenz's lemma applies), so comparing it with 0.5
+// decides the tie and every other case exactly — unlike floor(x + 0.5),
+// which rounds 0.49999999999999994 up. forwardBatchDet's TDC inputs are
+// clamped to [0, maxCode] before rounding.
+func roundNonNeg(x float64) int {
+	i := int(x)
+	if x-float64(i) >= 0.5 {
+		i++
+	}
+	return i
 }
 
 // QuantizationBound returns the worst-case absolute psum error of one wave

@@ -80,7 +80,6 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64, sampler stat
 	if err != nil {
 		return nil, err
 	}
-	cnn, test := tc.cnn, tc.test
 	const draws = 5
 	// Every (rate, draw) evaluation is independent — own fault map, own
 	// noise RNG derived from the draw index — so the grid runs on the
@@ -91,20 +90,9 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64, sampler stat
 	}
 	units := make([]unit, len(rates)*draws)
 	err = parallelEach(ctx, len(units), func(i int) error {
-		rate, d := rates[i/draws], i%draws
-		a, err := cnn.MapAnalog(core.Options{
-			Noise:         &analog.Noise{RNG: trialRNG(seed, d, seed+uint64(d)*101+1, sampler)},
-			InterfaceBits: 24,
-		}, rate)
-		if err != nil {
-			return err
-		}
-		acc, err := a.Accuracy(test)
-		if err != nil {
-			return err
-		}
-		units[i] = unit{acc: acc, faults: a.Faults()}
-		return nil
+		acc, faults, err := defectTrial(tc, seed, i%draws, rates[i/draws], sampler)
+		units[i] = unit{acc: acc, faults: faults}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -120,6 +108,24 @@ func DefectSweep(ctx context.Context, seed uint64, rates []float64, sampler stat
 		pts = append(pts, DefectPoint{Rate: rate, Faults: faults / draws, Accuracy: sum / draws})
 	}
 	return pts, nil
+}
+
+// defectTrial is one (draw, rate) unit of the defect study, shared by
+// DefectSweep and AnalogCNNAccuracyBatch: it maps tc's CNN onto crossbars
+// with stuck-at faults drawn at rate from draw d's RNG stream (the noise
+// sigmas are zero — the study injects faults, not timing noise) and
+// evaluates the test split on the image-batched path. It returns the
+// accuracy and the realised stuck-cell count.
+func defectTrial(tc *trainedCNN, seed uint64, d int, rate float64, sampler stats.SamplerVersion) (float64, int, error) {
+	a, err := tc.cnn.MapAnalog(core.Options{
+		Noise:         &analog.Noise{RNG: trialRNG(seed, d, seed+uint64(d)*101+1, sampler)},
+		InterfaceBits: 24,
+	}, rate)
+	if err != nil {
+		return 0, 0, err
+	}
+	acc, err := a.AccuracyBatch(tc.test)
+	return acc, a.Faults(), err
 }
 
 // DefectResult is one functional-CNN evaluation at a fixed stuck-at rate —

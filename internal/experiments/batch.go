@@ -129,21 +129,10 @@ func AnalogCNNAccuracyBatch(ctx context.Context, seeds []uint64, trials int, fau
 	}
 	units := make([]unit, len(seeds)*trials)
 	err = parallelEach(ctx, len(units), func(i int) error {
-		m, d := i/trials, i%trials
-		seed := seeds[m]
-		a, err := tcs[m].cnn.MapAnalog(core.Options{
-			Noise:         &analog.Noise{RNG: trialRNG(seed, d, seed+uint64(d)*101+1, sampler)},
-			InterfaceBits: 24,
-		}, faultRate)
-		if err != nil {
-			return err
-		}
-		acc, err := a.AccuracyBatch(tcs[m].test)
-		if err != nil {
-			return err
-		}
-		units[i] = unit{acc: acc, faults: a.Faults()}
-		return nil
+		m := i / trials
+		acc, faults, err := defectTrial(tcs[m], seeds[m], i%trials, faultRate, sampler)
+		units[i] = unit{acc: acc, faults: faults}
+		return err
 	})
 	if err != nil {
 		return nil, err

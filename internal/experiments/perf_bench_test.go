@@ -45,9 +45,10 @@ func BenchmarkAccuracyTrial(b *testing.B) {
 }
 
 // BenchmarkDefectTrial measures one (rate, draw) unit of the stuck-at
-// fault ablation exactly as DefectSweep executes it — zero-sigma noise
-// RNG (the defect study injects faults, not timing noise), fault maps
-// drawn at mapping time, deterministic batched evaluation — at the
+// fault ablation exactly as DefectSweep executes it — the shared
+// defectTrial unit: zero-sigma noise RNG (the defect study injects faults,
+// not timing noise), fault maps drawn at mapping time from draw i's
+// stream, deterministic batched evaluation — at the
 // ablation's low-rate points under each sampling regime. The v1 regime
 // spends one deviate per cell of the 16×12 crossbar grid (~12.6M per
 // trial) regardless of rate; v2 spends one binomial draw per crossbar plus
@@ -65,14 +66,7 @@ func BenchmarkDefectTrial(b *testing.B) {
 			b.Run(fmt.Sprintf("rate=%g/sampler=%s", rate, sampler), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					a, err := tc.cnn.MapAnalog(core.Options{
-						Noise:         &analog.Noise{RNG: stats.NewRNGSampler(uint64(i)+1, sampler)},
-						InterfaceBits: 24,
-					}, rate)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := a.Accuracy(tc.test); err != nil {
+					if _, _, err := defectTrial(tc, 5, i, rate, sampler); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -3,10 +3,9 @@ package experiments
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
-	"repro/internal/analog"
-	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -41,8 +40,9 @@ func pairwiseEquivalent(t *testing.T, label string, means, p10, p90 map[stats.Sa
 }
 
 // defectTrialAccs computes the per-trial analog accuracy sequence of the
-// stuck-at-fault study directly (the inner loop of AnalogCNNAccuracy), so
-// the equivalence check below can use the empirical per-trial variance:
+// stuck-at-fault study directly (defectTrial, the unit AnalogCNNAccuracy
+// and DefectSweep run), so the equivalence check below can use the
+// empirical per-trial variance:
 // the defect-accuracy distribution at low rates has a heavy left tail —
 // most fault maps are harmless, a few percent land a stuck-at-max cell on
 // a hot conv weight and crater the result — which a p10..p90 spread bound
@@ -54,19 +54,13 @@ func defectTrialAccs(t *testing.T, rate float64, v stats.SamplerVersion, trials 
 		t.Fatal(err)
 	}
 	accs := make([]float64, trials)
-	for d := 0; d < trials; d++ {
-		a, err := tc.cnn.MapAnalog(core.Options{
-			Noise:         &analog.Noise{RNG: trialRNG(5, d, 5+uint64(d)*101+1, v)},
-			InterfaceBits: 24,
-		}, rate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc, err := a.Accuracy(tc.test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		accs[d] = acc
+	err = parallelEach(context.Background(), trials, func(d int) error {
+		var err error
+		accs[d], _, err = defectTrial(tc, 5, d, rate, v)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return accs
 }
@@ -95,6 +89,9 @@ func TestDefectAccuracyRegimesEquivalent(t *testing.T) {
 	}
 	ctx := context.Background()
 	const trials = 48
+	// An earlier Run at Par 1 leaves the shared inner pool serial; the
+	// draws are keyed by index, so any pool size gives the same accuracies.
+	setInnerPar(runtime.GOMAXPROCS(0))
 	for _, rate := range []float64{0.001, 0.01, 0.05} {
 		accs := map[stats.SamplerVersion][]float64{}
 		for _, v := range equivalenceRegimes {

@@ -44,23 +44,20 @@ const (
 // philoxBlock applies the 10-round Philox4x32 bijection to one 128-bit
 // counter under a 64-bit key and returns the four 32-bit output words. It
 // matches the Random123 reference implementation bit for bit (the
-// known-answer tests pin the published vectors).
+// known-answer tests pin the published vectors). The state lives in scalar
+// locals so every round stays in registers; the key bump after the last
+// round is never read.
 func philoxBlock(c [4]uint32, k [2]uint32) [4]uint32 {
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	k0, k1 := k[0], k[1]
 	for i := 0; i < philoxRounds; i++ {
-		if i > 0 {
-			k[0] += philoxW0
-			k[1] += philoxW1
-		}
-		p0 := philoxM0 * uint64(c[0])
-		p1 := philoxM1 * uint64(c[2])
-		c = [4]uint32{
-			uint32(p1>>32) ^ c[1] ^ k[0],
-			uint32(p1),
-			uint32(p0>>32) ^ c[3] ^ k[1],
-			uint32(p0),
-		}
+		p0 := philoxM0 * uint64(c0)
+		p1 := philoxM1 * uint64(c2)
+		c0, c1, c2, c3 = uint32(p1>>32)^c1^k0, uint32(p1), uint32(p0>>32)^c3^k1, uint32(p0)
+		k0 += philoxW0
+		k1 += philoxW1
 	}
-	return c
+	return [4]uint32{c0, c1, c2, c3}
 }
 
 // philoxInit resets the receiver to the v3 substream (seed, trial, stream):

@@ -106,6 +106,11 @@ func Conv2D(in *Int, w *Filter, bias []int32, stride, pad int) *Int {
 	e := ConvOut(in.Shape.H, w.Z, stride, pad)
 	f := ConvOut(in.Shape.W, w.G, stride, pad)
 	out := NewInt(w.D, e, f)
+	// Taps index Data directly; each output clips its kernel window to the
+	// in-bounds columns [j0, j1) once instead of testing every tap. The
+	// int64 accumulation of int32 products is exact in any order.
+	h, wd := in.Shape.H, in.Shape.W
+	o := 0
 	for d := 0; d < w.D; d++ {
 		var b int64
 		if bias != nil {
@@ -113,23 +118,25 @@ func Conv2D(in *Int, w *Filter, bias []int32, stride, pad int) *Int {
 		}
 		for y := 0; y < e; y++ {
 			for x := 0; x < f; x++ {
+				x0 := x*stride - pad
+				j0, j1 := max(0, -x0), min(w.G, wd-x0)
 				acc := b
 				for c := 0; c < w.C; c++ {
+					kern := w.Data[(d*w.C+c)*w.Z*w.G : (d*w.C+c+1)*w.Z*w.G]
 					for i := 0; i < w.Z; i++ {
 						hy := y*stride + i - pad
-						if hy < 0 || hy >= in.Shape.H {
+						if hy < 0 || hy >= h {
 							continue
 						}
-						for j := 0; j < w.G; j++ {
-							wx := x*stride + j - pad
-							if wx < 0 || wx >= in.Shape.W {
-								continue
-							}
-							acc += int64(in.At(c, hy, wx)) * int64(w.At(d, c, i, j))
+						row := in.Data[(c*h+hy)*wd : (c*h+hy+1)*wd]
+						krow := kern[i*w.G : (i+1)*w.G]
+						for j := j0; j < j1; j++ {
+							acc += int64(row[x0+j]) * int64(krow[j])
 						}
 					}
 				}
-				out.Set(d, y, x, saturate32(acc))
+				out.Data[o] = saturate32(acc)
+				o++
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -226,5 +227,99 @@ func TestMaxPoolIdempotentProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// naiveConv2D is the straightforward At-indexed cross-correlation Conv2D
+// started from: a bounds test per tap, int64 accumulation, saturation.
+func naiveConv2D(in *Int, w *Filter, bias []int32, stride, pad int) *Int {
+	e := ConvOut(in.Shape.H, w.Z, stride, pad)
+	f := ConvOut(in.Shape.W, w.G, stride, pad)
+	out := NewInt(w.D, e, f)
+	for d := 0; d < w.D; d++ {
+		for y := 0; y < e; y++ {
+			for x := 0; x < f; x++ {
+				var acc int64
+				if bias != nil {
+					acc = int64(bias[d])
+				}
+				for c := 0; c < w.C; c++ {
+					for i := 0; i < w.Z; i++ {
+						for j := 0; j < w.G; j++ {
+							hy, wx := y*stride+i-pad, x*stride+j-pad
+							if hy < 0 || hy >= in.Shape.H || wx < 0 || wx >= in.Shape.W {
+								continue
+							}
+							acc += int64(in.At(c, hy, wx)) * int64(w.At(d, c, i, j))
+						}
+					}
+				}
+				out.Set(d, y, x, saturate32(acc))
+			}
+		}
+	}
+	return out
+}
+
+func TestConv2DMatchesNaiveReference(t *testing.T) {
+	rng := stats.NewRNG(17)
+	fill := func(data []int32, lo, hi int) {
+		for i := range data {
+			data[i] = int32(lo + rng.Intn(hi-lo+1))
+		}
+	}
+	for _, c := range []struct{ c, h, w, d, z, g int }{
+		{1, 12, 12, 8, 3, 3}, {3, 7, 9, 4, 3, 3}, {2, 5, 6, 3, 2, 4}, {4, 6, 6, 2, 5, 5}, {2, 3, 3, 2, 3, 3},
+		{1, 5, 5, 2, 2, 2}, // pad 2 > kernel: some windows lie wholly in the padding
+	} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1, 2} {
+				if ConvOut(c.h, c.z, stride, pad) <= 0 || ConvOut(c.w, c.g, stride, pad) <= 0 {
+					continue
+				}
+				in := NewInt(c.c, c.h, c.w)
+				fill(in.Data, 0, 255)
+				w := NewFilter(c.d, c.c, c.z, c.g)
+				fill(w.Data, -127, 127)
+				bias := make([]int32, c.d)
+				fill(bias, -1000, 1000)
+				for _, b := range [][]int32{nil, bias} {
+					got, want := Conv2D(in, w, b, stride, pad), naiveConv2D(in, w, b, stride, pad)
+					if got.Shape != want.Shape {
+						t.Fatalf("%+v s=%d p=%d: shape %v, reference %v", c, stride, pad, got.Shape, want.Shape)
+					}
+					for i := range want.Data {
+						if got.Data[i] != want.Data[i] {
+							t.Fatalf("%+v s=%d p=%d bias=%v: out[%d] = %d, reference %d",
+								c, stride, pad, b != nil, i, got.Data[i], want.Data[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConv2DSaturates drives psums past both int32 bounds: the int64
+// accumulation must saturate exactly as the reference does.
+func TestConv2DSaturates(t *testing.T) {
+	in := NewInt(2, 4, 4)
+	in.Fill(math.MaxInt32)
+	w := NewFilter(3, 2, 3, 3)
+	for i := range w.Data {
+		w.Data[i] = [3]int32{1, -1, 0}[i/(2*3*3)]
+	}
+	bias := []int32{0, 0, 5}
+	for _, pad := range []int{0, 1, 2} {
+		got, want := Conv2D(in, w, bias, 1, pad), naiveConv2D(in, w, bias, 1, pad)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("pad %d: out[%d] = %d, reference %d", pad, i, got.Data[i], want.Data[i])
+			}
+		}
+		if got.At(0, 0, 0) != math.MaxInt32 || got.At(1, 0, 0) != math.MinInt32 || got.At(2, 0, 0) != 5 {
+			t.Fatalf("pad %d: corner psums %d/%d/%d, want saturation at both bounds and the bias",
+				pad, got.At(0, 0, 0), got.At(1, 0, 0), got.At(2, 0, 0))
+		}
 	}
 }

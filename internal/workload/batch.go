@@ -16,8 +16,8 @@ import (
 // per-image path; either way the results equal the unbatched path byte
 // for byte.
 
-// predictBlock bounds the scratch footprint of the image-batched paths:
-// images are processed in blocks of this many.
+// predictBlock bounds the scratch footprint of AnalogMLP's image-batched
+// path: inputs are processed in blocks of this many.
 const predictBlock = 64
 
 // BatchSafe reports whether layer-major image batching is bit-identical
@@ -134,6 +134,15 @@ func (a *AnalogCNN) BatchSafe() bool {
 	return a.convMap.BatchDeterministic() && a.head.BatchSafe()
 }
 
+// cnnBlock is how many images AnalogCNN.AccuracyBatch carries through
+// one conv ForwardBatch wave (all their patches at once) and then through
+// the head's layer-major path. The deterministic kernel already blocks
+// waves by 64 vectors, so larger image blocks buy little, while every
+// mapped CNN's im2col, psum, feature and head scratch grows with the
+// block: at 8 images (1152 patches of the defect study's 12×12 inputs) it
+// stays near 250 KB.
+const cnnBlock = 8
+
 // AccuracyBatch evaluates the analog pipeline over a dataset, fanning
 // blocks of images through one conv ForwardBatch wave (all patches of all
 // block images at once) and the head's layer-major batched path. The
@@ -145,12 +154,9 @@ func (a *AnalogCNN) AccuracyBatch(d *ImageDataset) (float64, error) {
 	}
 	c := a.cnn
 	preds := make([]int, d.Len())
-	feats := make([][]float64, 0, predictBlock)
-	for base := 0; base < d.Len(); base += predictBlock {
-		n := d.Len() - base
-		if n > predictBlock {
-			n = predictBlock
-		}
+	feats := make([][]float64, 0, cnnBlock)
+	for base := 0; base < d.Len(); base += cnnBlock {
+		n := min(d.Len()-base, cnnBlock)
 		rows, e, f := tensor.Im2ColDims(d.X[base], c.Filters.Z, c.Filters.G, c.Stride, c.Pad)
 		pf := e * f // patches per image
 		if cap(a.inputs) < n*pf*rows {
@@ -168,17 +174,15 @@ func (a *AnalogCNN) AccuracyBatch(d *ImageDataset) (float64, error) {
 		if err := a.convMap.ForwardBatch(inputs, n*pf, psums); err != nil {
 			return 0, err
 		}
+		conv := tensor.NewInt(c.Filters.D, e, f) // featuresOf only reads it
 		feats = feats[:0]
 		for v := 0; v < n; v++ {
-			conv := tensor.NewInt(c.Filters.D, e, f)
 			for p := 0; p < pf; p++ {
 				for dch := 0; dch < c.Filters.D; dch++ {
 					conv.Data[dch*pf+p] = int32(psums[(v*pf+p)*c.Filters.D+dch])
 				}
 			}
-			tensor.RequantizeShift(conv, c.FeatShift, 255)
-			pooled := tensor.MaxPool2D(conv, c.PoolK, c.PoolS)
-			feats = append(feats, featVec(pooled))
+			feats = append(feats, c.featuresOf(conv))
 		}
 		if err := a.head.PredictBatch(feats, preds[base:base+n]); err != nil {
 			return 0, err

@@ -94,11 +94,51 @@ func NewCNN(rng *stats.RNG, d, maxW int) *CNN {
 	return &CNN{Filters: f, Stride: 1, Pad: 1, PoolK: 2, PoolS: 2}
 }
 
-// features runs the integer feature path: conv → requant(ReLU) → pool.
-func (c *CNN) features(img *tensor.Int) *tensor.Int {
-	conv := tensor.Conv2D(img, c.Filters, nil, c.Stride, c.Pad)
-	tensor.RequantizeShift(conv, c.FeatShift, 255)
-	return tensor.MaxPool2D(conv, c.PoolK, c.PoolS)
+// features runs the integer feature path for one image: conv, then
+// featuresOf.
+func (c *CNN) features(img *tensor.Int) []float64 {
+	return c.featuresOf(tensor.Conv2D(img, c.Filters, nil, c.Stride, c.Pad))
+}
+
+// featuresOf turns a raw conv psum map into the head's input vector:
+// max-pool, requantise (ReLU + shift into 8-bit codes), flatten. Pooling
+// before requantising is exact: RequantizeShift applies the same monotone
+// non-decreasing map f to every element, and max(f(a), f(b)) = f(max(a, b))
+// for any such f, so each pooled code equals the requantise-then-pool one.
+// It requantises a quarter of the elements and lets calibration keep only
+// pooled maps.
+func (c *CNN) featuresOf(conv *tensor.Int) []float64 {
+	pooled := tensor.MaxPool2D(conv, c.PoolK, c.PoolS)
+	return featVec(tensor.RequantizeShift(pooled, c.FeatShift, 255))
+}
+
+// calibratedFeatures sets FeatShift to the smallest shift that brings the
+// largest conv psum over imgs into 8 bits, and returns every image's
+// feature vector. Each image is convolved once: the shift is unknown until
+// the last image, so the pass keeps each image's max-pooled raw map — not
+// the full conv map — and requantises once calibration is done, which
+// featuresOf's commuting argument makes exact.
+func (c *CNN) calibratedFeatures(imgs []*tensor.Int) [][]float64 {
+	pooled := make([]*tensor.Int, len(imgs))
+	maxPsum := int32(0)
+	for i, img := range imgs {
+		conv := tensor.Conv2D(img, c.Filters, nil, c.Stride, c.Pad)
+		for _, v := range conv.Data {
+			if v > maxPsum {
+				maxPsum = v
+			}
+		}
+		pooled[i] = tensor.MaxPool2D(conv, c.PoolK, c.PoolS)
+	}
+	c.FeatShift = 0
+	for maxPsum>>uint(c.FeatShift) > 255 {
+		c.FeatShift++
+	}
+	feats := make([][]float64, len(imgs))
+	for i, p := range pooled {
+		feats[i] = featVec(tensor.RequantizeShift(p, c.FeatShift, 255))
+	}
+	return feats
 }
 
 // featVec flattens a feature tensor into normalised float64s for the head
@@ -118,28 +158,8 @@ func (c *CNN) Train(rng *stats.RNG, train *ImageDataset, hidden, epochs int, lr 
 	if train.Len() == 0 {
 		return 0, fmt.Errorf("workload: empty training set")
 	}
-	// Calibrate the requantisation shift over the training set.
-	maxPsum := int32(0)
-	for _, img := range train.X {
-		conv := tensor.Conv2D(img, c.Filters, nil, c.Stride, c.Pad)
-		for _, v := range conv.Data {
-			if v > maxPsum {
-				maxPsum = v
-			}
-		}
-	}
-	c.FeatShift = 0
-	for maxPsum>>uint(c.FeatShift) > 255 {
-		c.FeatShift++
-	}
-	// Extract features and train the float head.
-	feats := &Dataset{Dim: 0, Classes: train.Classes}
-	for i, img := range train.X {
-		v := featVec(c.features(img))
-		feats.Dim = len(v)
-		feats.X = append(feats.X, v)
-		feats.Y = append(feats.Y, train.Y[i])
-	}
+	feats := &Dataset{X: c.calibratedFeatures(train.X), Y: train.Y, Classes: train.Classes}
+	feats.Dim = len(feats.X[0])
 	c.headFloat = NewMLP(rng, feats.Dim, hidden, train.Classes)
 	loss := c.headFloat.Train(feats, rng, epochs, lr)
 	q, err := Quantize(c.headFloat, feats, 8)
@@ -152,7 +172,7 @@ func (c *CNN) Train(rng *stats.RNG, train *ImageDataset, hidden, epochs int, lr 
 
 // PredictInt classifies one image through the exact integer path.
 func (c *CNN) PredictInt(img *tensor.Int) int {
-	return c.Head.PredictInt(featVec(c.features(img)))
+	return c.Head.PredictInt(c.features(img))
 }
 
 // AccuracyInt evaluates the integer path.
@@ -211,7 +231,7 @@ func (c *CNN) MapAnalog(opt core.Options, faultRate float64) (*AnalogCNN, error)
 func (a *AnalogCNN) Faults() int { return a.faultMap }
 
 // Predict classifies one image through the analog pipeline: conv psums from
-// the mapped crossbars, digital requantisation + pooling, then the analog
+// the mapped crossbars, digital pooling + requantisation, then the analog
 // head.
 func (a *AnalogCNN) Predict(img *tensor.Int) (int, error) {
 	c := a.cnn
@@ -234,9 +254,7 @@ func (a *AnalogCNN) Predict(img *tensor.Int) (int, error) {
 			conv.Data[d*e*f+p] = int32(psums[p*c.Filters.D+d])
 		}
 	}
-	tensor.RequantizeShift(conv, c.FeatShift, 255)
-	pooled := tensor.MaxPool2D(conv, c.PoolK, c.PoolS)
-	return a.head.Predict(featVec(pooled))
+	return a.head.Predict(c.featuresOf(conv))
 }
 
 // Accuracy evaluates the analog pipeline over a dataset.

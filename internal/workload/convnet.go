@@ -226,27 +226,10 @@ func (n *ConvNet) Quantize(rng *stats.RNG, calib *ImageDataset, tuneEpochs int, 
 		code := int(math.Round(w / maxAbs * 127))
 		c.Filters.Data[i] = int32(code)
 	}
-	// Calibrate the feature shift over the calibration images.
-	maxPsum := int32(0)
-	for _, img := range calib.X {
-		conv := tensor.Conv2D(img, c.Filters, nil, c.Stride, c.Pad)
-		for _, v := range conv.Data {
-			if v > maxPsum {
-				maxPsum = v
-			}
-		}
-	}
-	c.FeatShift = 0
-	for maxPsum>>uint(c.FeatShift) > 255 {
-		c.FeatShift++
-	}
-	// Fine-tune a copy of the float head on the quantised features, then
-	// quantise it.
-	feats := &Dataset{Dim: n.D * n.poolH * n.poolW, Classes: calib.Classes}
-	for i, img := range calib.X {
-		feats.X = append(feats.X, featVec(c.features(img)))
-		feats.Y = append(feats.Y, calib.Y[i])
-	}
+	// Calibrate the feature shift over the calibration images, fine-tune a
+	// copy of the float head on the quantised features, then quantise it.
+	feats := &Dataset{X: c.calibratedFeatures(calib.X), Y: calib.Y,
+		Dim: n.D * n.poolH * n.poolW, Classes: calib.Classes}
 	head := n.Head.clone()
 	head.Train(feats, rng, tuneEpochs, tuneLR)
 	q, err := Quantize(head, feats, 8)

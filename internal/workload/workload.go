@@ -110,6 +110,11 @@ func NewMLP(rng *stats.RNG, sizes ...int) *MLP {
 
 // forward returns all layer activations (post-ReLU except the last). The
 // returned slices are instance scratch, overwritten by the next pass.
+//
+// Output units are computed four at a time: four independent accumulators
+// share each pass over the input, which breaks the add-latency chain of a
+// single running sum. Every unit's sum is still bias + Σ w·v in ascending
+// input order, so each activation is bit-identical to a one-row loop.
 func (m *MLP) forward(x []float64) [][]float64 {
 	if m.acts == nil {
 		m.acts = make([][]float64, len(m.Sizes))
@@ -119,22 +124,40 @@ func (m *MLP) forward(x []float64) [][]float64 {
 	}
 	m.acts[0] = x
 	cur := x
-	for l := range m.W {
-		next := m.acts[l+1]
-		last := l == len(m.W)-1
-		for o, row := range m.W[l] {
-			s := m.B[l][o]
+	for l, w := range m.W {
+		next, b := m.acts[l+1], m.B[l]
+		relu := l < len(m.W)-1
+		o := 0
+		for ; o+4 <= len(w); o += 4 {
+			r0, r1, r2, r3 := w[o][:len(cur)], w[o+1][:len(cur)], w[o+2][:len(cur)], w[o+3][:len(cur)]
+			s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+			for i, v := range cur {
+				s0 += r0[i] * v
+				s1 += r1[i] * v
+				s2 += r2[i] * v
+				s3 += r3[i] * v
+			}
+			next[o], next[o+1], next[o+2], next[o+3] = reluIf(relu, s0), reluIf(relu, s1), reluIf(relu, s2), reluIf(relu, s3)
+		}
+		for ; o < len(w); o++ {
+			row := w[o][:len(cur)]
+			s := b[o]
 			for i, v := range cur {
 				s += row[i] * v
 			}
-			if !last && s < 0 {
-				s = 0
-			}
-			next[o] = s
+			next[o] = reluIf(relu, s)
 		}
 		cur = next
 	}
 	return m.acts
+}
+
+// reluIf clamps a negative s to 0 when relu is set.
+func reluIf(relu bool, s float64) float64 {
+	if relu && s < 0 {
+		return 0
+	}
+	return s
 }
 
 // Predict returns the argmax class for x.
@@ -211,7 +234,7 @@ func (m *MLP) TrainWithNoise(d *Dataset, rng *stats.RNG, epochs int, lr, actSigm
 
 // step performs one SGD update and returns the sample loss.
 func (m *MLP) step(x []float64, y int, lr float64) float64 {
-	loss, _ := m.stepWithInputGrad(x, y, lr)
+	loss, _ := m.backprop(x, y, lr, false)
 	return loss
 }
 
@@ -221,6 +244,24 @@ func (m *MLP) step(x []float64, y int, lr float64) float64 {
 // front-ends backpropagate through the head. The returned slice is instance
 // scratch, valid until the next pass.
 func (m *MLP) stepWithInputGrad(x []float64, y int, lr float64) (float64, []float64) {
+	return m.backprop(x, y, lr, true)
+}
+
+// backprop runs one forward pass and one SGD update. The layer-0 input
+// gradient is accumulated only when wantInputGrad is set: plain MLP
+// training discards it, and it costs a multiply-add per first-layer weight.
+//
+// Rows whose delta is exactly 0 (dead ReLU units, or an output whose
+// softmax probability matched its target) are skipped. That is exact for a
+// positive finite lr: g is never −0 (output deltas are probs − onehot with
+// probs ≥ +0, hidden deltas are sums that start at +0 or are gated to +0),
+// so the skipped bias update subtracts lr·g = +0, which leaves every value
+// unchanged. The skipped weight update subtracts ±0, and ri − (−0) differs
+// from ri only for ri = −0, which no weight ever is: initial weights are
+// 0 + σ·z (IEEE addition turns −0 into +0 there) and an update ri − u
+// yields −0 only from an ri that already is −0. The skipped gradient terms
+// add ±0 to a sum that starts at +0 and so is never −0 either.
+func (m *MLP) backprop(x []float64, y int, lr float64, wantInputGrad bool) (float64, []float64) {
 	acts := m.forward(x)
 	out := acts[len(acts)-1]
 	probs := m.softmaxInto(out)
@@ -243,14 +284,34 @@ func (m *MLP) stepWithInputGrad(x []float64, y int, lr float64) (float64, []floa
 	var inputGrad []float64
 	for l := len(m.W) - 1; l >= 0; l-- {
 		in := acts[l]
+		b := m.B[l]
+		if l == 0 && !wantInputGrad {
+			for o, row := range m.W[l] {
+				g := delta[o]
+				if g == 0 {
+					continue
+				}
+				lg := lr * g
+				b[o] -= lg
+				row = row[:len(in)]
+				for i, v := range in {
+					row[i] -= lg * v
+				}
+			}
+			break
+		}
 		prev := other[:len(in)]
 		for i := range prev {
 			prev[i] = 0
 		}
 		for o, row := range m.W[l] {
 			g := delta[o]
-			m.B[l][o] -= lr * g
+			if g == 0 {
+				continue
+			}
 			lg := lr * g
+			b[o] -= lg
+			row = row[:len(in)]
 			for i, ri := range row {
 				prev[i] += g * ri
 				row[i] = ri - lg*in[i]
